@@ -45,12 +45,12 @@ let run ?(until = fun _ -> false) ?(record_events = true)
   let states = Array.of_list (List.map (fun p -> algo.initial ~n p) (Pid.all ~n)) in
   let hfs = Array.of_list (List.map Pid.Set.singleton (Pid.all ~n)) in
   let vcs = Array.make n Vclock.empty in
-  let buffer : _ Model.envelope Buffer.t = Buffer.create () in
+  let buffer = Buffer.create ~dst:(fun e -> e.Model.dst) () in
   let events = ref [] in
   let outputs = ref [] in
   let steps = ref 0 and idle = ref 0 and sent = ref 0 and delivered = ref 0 in
   let stopped = ref false in
-  let pending pid = Buffer.pending_for buffer ~dst:pid ~keep:(fun e -> e.Model.dst) in
+  let pending = Buffer.pending_for buffer in
   let t = ref Time.zero in
   while Time.(!t < horizon) && not !stopped do
     let now = !t in

@@ -12,6 +12,8 @@ type action = Step of { pid : Pid.t; receive : Buffer.id option } | Idle
 
 type 'm t = { name : string; choose : 'm view -> action }
 
+let make ~name choose = { name; choose }
+
 let name t = t.name
 
 let choose t view = t.choose view

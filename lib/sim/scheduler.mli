@@ -28,6 +28,12 @@ type action =
 type 'm t
 (** A scheduling policy over messages of type ['m]. *)
 
+val make : name:string -> ('m view -> action) -> 'm t
+(** A policy from its decision function.  {!Runner.run} raises
+    [Invalid_argument] on an action that steps a crashed process, delivers
+    an id not in the buffer (consumed or never issued), or delivers a
+    message addressed to another process. *)
+
 val name : 'm t -> string
 (** Display name, used in run headers and reports. *)
 

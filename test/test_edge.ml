@@ -22,6 +22,35 @@ let evil_scheduler pid_to_step =
        [ { Scheduler.blocks_step = (fun _ q -> not (Pid.equal q pid_to_step));
            blocks_delivery = (fun _ _ -> false) } ])
 
+(* a scheduler that plays one (process, received id) action per tick, with
+   no check that the action is legal, then idles *)
+let script_scheduler actions =
+  let remaining = ref actions in
+  Scheduler.make ~name:"script" (fun _ ->
+      match !remaining with
+      | [] -> Scheduler.Idle
+      | (pid, receive) :: rest ->
+        remaining := rest;
+        Scheduler.Step { pid; receive })
+
+(* each process broadcasts once, on its first step *)
+let broadcast_once_automaton : (bool, int, Detector.suspicions, int) Model.t =
+  Model.make ~name:"broadcast-once"
+    ~initial:(fun ~n:_ _ -> false)
+    ~step:(fun ~n ~self sent _ _ ->
+      if sent then Model.no_effects true
+      else { Model.state = true; sends = Model.send_all ~n ~but:self 0; outputs = [] })
+
+(* the Invalid_argument message Runner.run raises on a scripted schedule *)
+let guard_error ?(pattern = Pattern.failure_free ~n) actions =
+  match
+    Runner.run ~pattern ~detector:Perfect.canonical
+      ~scheduler:(script_scheduler actions) ~horizon:(time 10)
+      broadcast_once_automaton
+  with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument msg -> msg
+
 let runner_guard_tests =
   [
     test "a scheduler cannot step a crashed process" (fun () ->
@@ -35,6 +64,22 @@ let runner_guard_tests =
         in
         Alcotest.(check int) "no steps" 0 r.Runner.steps;
         Alcotest.(check int) "all idle" 50 r.Runner.idle_ticks);
+    test "a scheduler cannot deliver a consumed message" (fun () ->
+        (* p2 broadcasts; its message to p1 is id 0.  p1 receives it, then
+           the scheduler hands p1 the same id again *)
+        Alcotest.(check string) "consumed"
+          "Runner.run: scheduler delivered a consumed message"
+          (guard_error
+             [ (pid 2, None); (pid 1, Some 0); (pid 1, Some 0) ]));
+    test "a scheduler cannot misdeliver a message" (fun () ->
+        (* id 0 is addressed to p1; handing it to p3 is a different error *)
+        Alcotest.(check string) "misdelivered"
+          "Runner.run: scheduler misdelivered a message"
+          (guard_error [ (pid 2, None); (pid 3, Some 0) ]));
+    test "a scheduler stepping a crashed process is refused" (fun () ->
+        Alcotest.(check string) "crashed"
+          "Runner.run: scheduler stepped a crashed process"
+          (guard_error ~pattern:(pattern ~n [ (1, 0) ]) [ (pid 1, None) ]));
     test "horizon zero runs nothing" (fun () ->
         let r =
           Runner.run ~pattern:(Pattern.failure_free ~n) ~detector:Perfect.canonical

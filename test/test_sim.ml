@@ -41,34 +41,143 @@ let run_gossip ?(pattern = Pattern.failure_free ~n) ?(scheduler = Scheduler.fair
 
 (* ---------- buffer ---------- *)
 
+(* The single newest-first list [Buffer] used to be, every operation a
+   linear scan: the reference model the destination-indexed buffer must
+   match id for id and in every order it exposes. *)
+module Ref_buffer = struct
+  type 'a t = { mutable next_id : int; mutable items : (int * 'a) list }
+
+  let create () = { next_id = 0; items = [] }
+
+  let add t x =
+    let id = t.next_id in
+    t.next_id <- id + 1;
+    t.items <- (id, x) :: t.items;
+    id
+
+  let find t id = List.assoc_opt id t.items
+
+  let remove t id =
+    match find t id with
+    | None -> None
+    | Some x ->
+      t.items <- List.filter (fun (i, _) -> i <> id) t.items;
+      Some x
+
+  let pending_for t ~dst ~keep =
+    List.fold_left
+      (fun acc (id, x) -> if Pid.equal (keep x) dst then (id, x) :: acc else acc)
+      [] t.items
+
+  let size t = List.length t.items
+
+  let iter t f = List.iter (fun (id, x) -> f id x) (List.rev t.items)
+end
+
+(* Remove/Find carry a raw pick resolved against the ids issued so far, so
+   that they hit live, consumed, negative and never-issued ids alike. *)
+type buffer_op =
+  | Add of int
+  | Remove of int
+  | Find of int
+  | Pending of int
+  | Size
+  | Iter
+
+let pp_buffer_op = function
+  | Add d -> Printf.sprintf "add->p%d" d
+  | Remove r -> Printf.sprintf "remove#%d" r
+  | Find r -> Printf.sprintf "find#%d" r
+  | Pending d -> Printf.sprintf "pending p%d" d
+  | Size -> "size"
+  | Iter -> "iter"
+
+(* destinations p1..p4 receive messages; p5 never does *)
+let arb_buffer_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (6, map (fun d -> Add d) (int_range 1 4));
+        (3, map (fun r -> Remove r) nat);
+        (1, map (fun r -> Find r) nat);
+        (3, map (fun d -> Pending d) (int_range 1 5));
+        (1, return Size);
+        (1, return Iter);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_buffer_op ops))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_bound 120) op)
+
+let buffer_matches_reference ops =
+  let b = Buffer.create ~dst:fst () and r = Ref_buffer.create () in
+  let keep = fst in
+  let pick raw = (raw mod (r.Ref_buffer.next_id + 2)) - 1 in
+  let listing iter t =
+    let acc = ref [] in
+    iter t (fun id x -> acc := (id, x) :: !acc);
+    List.rev !acc
+  in
+  List.iteri
+    (fun step op ->
+      let ok =
+        match op with
+        | Add d ->
+          let x = (pid d, step) in
+          Buffer.add b x = Ref_buffer.add r x
+        | Remove raw ->
+          let id = pick raw in
+          Buffer.remove b id = Ref_buffer.remove r id
+        | Find raw ->
+          let id = pick raw in
+          Buffer.find b id = Ref_buffer.find r id
+        | Pending d ->
+          Buffer.pending_for b (pid d) = Ref_buffer.pending_for r ~dst:(pid d) ~keep
+        | Size -> Buffer.size b = Ref_buffer.size r
+        | Iter -> listing Buffer.iter b = listing Ref_buffer.iter r
+      in
+      if not ok then
+        QCheck.Test.fail_reportf "diverged at op %d (%s)" step (pp_buffer_op op))
+    ops;
+  Buffer.size b = Ref_buffer.size r
+  && listing Buffer.iter b = listing Ref_buffer.iter r
+  && List.for_all
+       (fun d ->
+         Buffer.pending_for b (pid d) = Ref_buffer.pending_for r ~dst:(pid d) ~keep)
+       [ 1; 2; 3; 4; 5 ]
+
 let buffer_tests =
   [
     test "add/remove roundtrip" (fun () ->
-        let b = Buffer.create () in
+        let b = Buffer.create ~dst:(fun _ -> pid 1) () in
         let id = Buffer.add b "x" in
         Alcotest.(check (option string)) "found" (Some "x") (Buffer.remove b id);
         Alcotest.(check (option string)) "gone" None (Buffer.remove b id));
     test "pending_for filters by destination, oldest first" (fun () ->
-        let b = Buffer.create () in
+        let b = Buffer.create ~dst:(fun e -> e.Model.dst) () in
         let env dst payload = { Model.src = pid 1; dst = pid dst; payload } in
         ignore (Buffer.add b (env 2 "a"));
         ignore (Buffer.add b (env 3 "b"));
         ignore (Buffer.add b (env 2 "c"));
-        let pending = Buffer.pending_for b ~dst:(pid 2) ~keep:(fun e -> e.Model.dst) in
+        let pending = Buffer.pending_for b (pid 2) in
         Alcotest.(check (list string)) "ordered" [ "a"; "c" ]
           (List.map (fun (_, e) -> e.Model.payload) pending));
     test "size" (fun () ->
-        let b = Buffer.create () in
+        let b = Buffer.create ~dst:(fun _ -> pid 1) () in
         ignore (Buffer.add b 1);
         ignore (Buffer.add b 2);
         Alcotest.(check int) "2" 2 (Buffer.size b));
     test "iter in id order" (fun () ->
-        let b = Buffer.create () in
+        let b = Buffer.create ~dst:(fun _ -> pid 1) () in
         ignore (Buffer.add b "first");
         ignore (Buffer.add b "second");
         let acc = ref [] in
         Buffer.iter b (fun _ v -> acc := v :: !acc);
         Alcotest.(check (list string)) "order" [ "second"; "first" ] !acc);
+    qtest ~count:300 "matches the list reference model" arb_buffer_ops
+      buffer_matches_reference;
   ]
 
 (* ---------- schedulers ---------- *)
@@ -209,6 +318,28 @@ let runner_tests =
     test "final states cover all processes" (fun () ->
         let r = run_gossip ~pattern:(pattern ~n [ (3, 10) ]) () in
         Alcotest.(check int) "n states" n (Pid.Map.cardinal r.Runner.final_states));
+    test "a lone survivor's backlog to crashed peers" (fun () ->
+        (* T(D->P) keeps the survivor running consensus to the horizon; all
+           but a few hundred of its messages go to crashed processes and
+           stay in the buffer forever.  Counts pinned from the list buffer. *)
+        let n = 5 in
+        let pattern =
+          Pattern.Family.generate Pattern.Family.all_but_one ~n ~horizon:(time 300)
+            (Rng.make 1)
+        in
+        Alcotest.(check string) "pattern" "pattern(n=5; p1@299 p2@88 p4@192 p5@83)"
+          (Format.asprintf "%a" Pattern.pp pattern);
+        let r =
+          Runner.run ~pattern ~detector:Perfect.canonical ~scheduler:(Scheduler.fair ())
+            ~horizon:(time 6000)
+            (Rlfd_reduction.Consensus_to_p.automaton
+               ~impl:Rlfd_reduction.Consensus_to_p.ct_strong_impl)
+        in
+        Alcotest.(check int) "steps" 6000 r.Runner.steps;
+        Alcotest.(check int) "sent" 114664 r.Runner.sent;
+        Alcotest.(check int) "delivered" 286 r.Runner.delivered;
+        Alcotest.(check int) "outputs" 5730 (List.length r.Runner.outputs);
+        check_all_hold "emulates P" (Rlfd_reduction.Emulation.check_emulation_run r));
   ]
 
 (* ---------- causal tracking ---------- *)
