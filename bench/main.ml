@@ -1737,6 +1737,18 @@ let bench_tests () =
            let q = Pqueue.create () in
            for i = 1 to 1000 do Pqueue.add q ~prio:(i * 7919 mod 1000) i done;
            while not (Pqueue.is_empty q) do ignore (Pqueue.pop q) done));
+    Test.make ~name:"kernel.pqueue-des-ops"
+      (stage (fun () ->
+           (* Netsim's traffic shape: a standing population of pending
+              events over a few distinct timestamps, each popped and
+              re-added 1..10 ticks later *)
+           let q = Pqueue.create () in
+           for i = 1 to 1000 do Pqueue.add q ~prio:(1 + (i mod 10)) i done;
+           for _ = 1 to 1000 do
+             match Pqueue.pop q with
+             | Some (t, v) -> Pqueue.add q ~prio:(t + 1 + (((v * 7919) + t) mod 10)) v
+             | None -> ()
+           done));
   ]
 
 let run_benchmarks () =

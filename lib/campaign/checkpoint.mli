@@ -2,10 +2,11 @@
 
     Line 1 is a header identifying the campaign (name, campaign seed, job
     count, schema version); every further line records one completed job
-    with its encoded result.  Because the file is append-only and flushed
-    per entry, whatever a killed campaign leaves behind is a valid prefix —
-    possibly ending in a torn partial line, which {!load} skips and counts
-    rather than rejects.  Resuming therefore never redoes a completed job
+    with its encoded result.  Because the file is append-only and each
+    write (one entry, or one batch of them) ends in a flush, whatever a
+    killed campaign leaves behind is a valid prefix — possibly ending in a
+    torn partial line, which {!load} skips and counts rather than
+    rejects.  Resuming therefore never redoes a completed job
     and never produces a duplicate job id. *)
 
 val schema_version : int
@@ -27,13 +28,15 @@ val write_header : out_channel -> header -> unit
 
 val write_entry : out_channel -> entry -> unit
 (** One JSON object line; flushed {e and fsynced}, so neither a kill nor a
-    power cut loses an acknowledged job — at most the line being written
-    is torn. *)
+    power cut loses it once the call returns — at most the line being
+    written is torn. *)
 
 val write_entries : out_channel -> entry list -> unit
 (** Batch form of {!write_entry}: all lines buffered, one flush+fsync at
-    the end.  What the engine uses when compacting recovered entries on
-    resume — durability of the whole batch, cost of one sync. *)
+    the end, so every entry is durable once the call returns.  What the
+    engine uses both to publish a finished batch (before any of its jobs
+    counts as completed) and to compact recovered entries on resume —
+    durability of the whole batch, cost of one sync. *)
 
 val load : string -> (header * entry list * int, string) result
 (** [load path] parses the checkpoint: the header, the well-formed entries

@@ -314,16 +314,16 @@ let run ?(workers = 1) ?shard_size ?(shard_target_ms = 5.) ?checkpoint
                     | Some oc, Some codec ->
                       Timeline.span rec_ ~tag:q0 "checkpoint-append"
                         (fun () ->
-                          List.iter
-                            (fun o ->
-                              Checkpoint.write_entry oc
-                                {
-                                  Checkpoint.job = o.job;
-                                  label = o.label;
-                                  elapsed_s = o.elapsed_s;
-                                  value = codec.encode o.value;
-                                })
-                            outcomes)
+                          Checkpoint.write_entries oc
+                            (List.map
+                               (fun o ->
+                                 {
+                                   Checkpoint.job = o.job;
+                                   label = o.label;
+                                   elapsed_s = o.elapsed_s;
+                                   value = codec.encode o.value;
+                                 })
+                               outcomes))
                     | _ -> ());
                     notify ()))
           | exception exn ->

@@ -113,9 +113,10 @@ val run :
       recorder and records, per batch, a [job-run] span with one [job]
       child span per job (tagged by job index), a [queue-wait] span
       (batch ready → checkpoint/telemetry lock held), and a [publish]
-      span whose [checkpoint-append] child covers the fsynced entry
-      writes; batch spans are tagged by the batch's starting quantum, so
-      under [~shard_size] they carry exactly the old per-shard tags.
+      span whose [checkpoint-append] child covers the batch's entry
+      writes and their single fsync; batch spans are tagged by the
+      batch's starting quantum, so under [~shard_size] they carry
+      exactly the old per-shard tags.
       Pool lifecycle shows up as [unpark]/[park] events per participant,
       a [steal] span per cross-range claim (tagged by the victim slot),
       [pool-start] driver events per freshly spawned domain, and a

@@ -1032,8 +1032,9 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
                   in
                   let visit sleep' =
                     if outs <> [] then record_decision out_ents';
-                    (match (outs, check outputs') with
-                    | _ :: _, Some reason ->
+                    (* only an output-emitting step can report a violation *)
+                    (match if outs = [] then None else check outputs' with
+                    | Some reason ->
                       let chron = List.rev steps' in
                       add_violation
                         {
@@ -1044,7 +1045,7 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
                           outputs = outputs';
                           reason;
                         }
-                    | _ -> ());
+                    | None -> ());
                     dfs config' lo' out_ents' outputs' steps' sleep'
                   in
                   if not red.canon then visit sleep'
@@ -1220,8 +1221,8 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
               in
               let admit () =
                 if outs <> [] then record_decision out_ents';
-                (match (outs, check outputs') with
-                | _ :: _, Some reason ->
+                (match if outs = [] then None else check outputs' with
+                | Some reason ->
                   if List.length acc.violations < max_violations then
                     let chron = List.rev steps' in
                     acc.violations <-
@@ -1234,7 +1235,7 @@ let run ?(max_steps = 12) ?(max_nodes = 200_000) ?(max_violations = 5)
                         reason;
                       }
                       :: acc.violations
-                | _ -> ());
+                | None -> ());
                 Queue.push (config', lo', out_ents', outputs', steps') queue
               in
               if not red.canon then begin

@@ -183,6 +183,164 @@ let rng_tests =
 
 (* ---------- Pqueue ---------- *)
 
+(* The binary heap of boxed (priority, sequence number, value) entries
+   [Pqueue] used to be: the reference model the bucketed queue must match
+   in every pop, peek, length and snapshot. *)
+module Ref_pqueue = struct
+  type 'a entry = { prio : int; seq : int; value : 'a }
+
+  type 'a t = {
+    mutable heap : 'a entry array;
+    mutable size : int;
+    mutable next_seq : int;
+  }
+
+  let create () = { heap = [||]; size = 0; next_seq = 0 }
+
+  let length q = q.size
+
+  let less a b = a.prio < b.prio || (a.prio = b.prio && a.seq < b.seq)
+
+  let swap q i j =
+    let tmp = q.heap.(i) in
+    q.heap.(i) <- q.heap.(j);
+    q.heap.(j) <- tmp
+
+  let rec sift_up q i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if less q.heap.(i) q.heap.(parent) then begin
+        swap q i parent;
+        sift_up q parent
+      end
+    end
+
+  let rec sift_down q i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < q.size && less q.heap.(l) q.heap.(!smallest) then smallest := l;
+    if r < q.size && less q.heap.(r) q.heap.(!smallest) then smallest := r;
+    if !smallest <> i then begin
+      swap q i !smallest;
+      sift_down q !smallest
+    end
+
+  let add q ~prio value =
+    let entry = { prio; seq = q.next_seq; value } in
+    q.next_seq <- q.next_seq + 1;
+    let capacity = Array.length q.heap in
+    if q.size = capacity then begin
+      let fresh = Array.make (Stdlib.max 8 (2 * capacity)) entry in
+      Array.blit q.heap 0 fresh 0 q.size;
+      q.heap <- fresh
+    end;
+    q.heap.(q.size) <- entry;
+    q.size <- q.size + 1;
+    sift_up q (q.size - 1)
+
+  let pop q =
+    if q.size = 0 then None
+    else begin
+      let top = q.heap.(0) in
+      q.size <- q.size - 1;
+      if q.size > 0 then begin
+        q.heap.(0) <- q.heap.(q.size);
+        sift_down q 0
+      end;
+      Some (top.prio, top.value)
+    end
+
+  let peek q = if q.size = 0 then None else Some (q.heap.(0).prio, q.heap.(0).value)
+
+  let clear q = q.size <- 0
+
+  let to_list q =
+    let copy = { heap = Array.sub q.heap 0 q.size; size = q.size; next_seq = q.next_seq } in
+    let rec drain acc =
+      match pop copy with None -> List.rev acc | Some x -> drain (x :: acc)
+    in
+    drain []
+end
+
+(* [Below k] adds at k under the reference's current minimum (at -k when
+   empty), so priorities below everything pending are hit on purpose. *)
+type pqueue_op =
+  | Add of int
+  | Below of int
+  | Pop
+  | Peek
+  | Length
+  | Clear
+  | To_list
+
+let pp_pqueue_op = function
+  | Add p -> Printf.sprintf "add@%d" p
+  | Below k -> Printf.sprintf "add@min-%d" k
+  | Pop -> "pop"
+  | Peek -> "peek"
+  | Length -> "length"
+  | Clear -> "clear"
+  | To_list -> "to_list"
+
+let arb_pqueue_ops prio =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (16, map (fun p -> Add p) prio);
+        (4, map (fun k -> Below k) (int_range 0 3));
+        (12, return Pop);
+        (4, return Peek);
+        (2, return Length);
+        (2, return To_list);
+        (1, return Clear);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_pqueue_op ops))
+    ~shrink:QCheck.Shrink.list
+    (list_size (int_bound 200) op)
+
+(* heavy ties: a window of six priorities *)
+let narrow_prios = QCheck.Gen.int_range 0 5
+
+(* wide, mostly distinct, half of them negative *)
+let wide_prios = QCheck.Gen.int_range (-1_000_000) 1_000_000
+
+let pqueue_matches_reference ops =
+  let q = Pqueue.create () and r = Ref_pqueue.create () in
+  List.iteri
+    (fun step op ->
+      let ok =
+        match op with
+        | Add prio ->
+          Pqueue.add q ~prio step;
+          Ref_pqueue.add r ~prio step;
+          true
+        | Below k ->
+          let prio = (match Ref_pqueue.peek r with Some (p, _) -> p | None -> 0) - k in
+          Pqueue.add q ~prio step;
+          Ref_pqueue.add r ~prio step;
+          true
+        | Pop -> Pqueue.pop q = Ref_pqueue.pop r
+        | Peek -> Pqueue.peek q = Ref_pqueue.peek r
+        | Length -> Pqueue.length q = Ref_pqueue.length r
+        | Clear ->
+          Pqueue.clear q;
+          Ref_pqueue.clear r;
+          true
+        | To_list -> Pqueue.to_list q = Ref_pqueue.to_list r
+      in
+      if not (ok && Pqueue.length q = Ref_pqueue.length r) then
+        QCheck.Test.fail_reportf "diverged at op %d (%s)" step (pp_pqueue_op op))
+    ops;
+  let rec drains_equal () =
+    match (Pqueue.pop q, Ref_pqueue.pop r) with
+    | None, None -> Pqueue.is_empty q
+    | a, b -> a = b && drains_equal ()
+  in
+  drains_equal ()
+
 let pqueue_tests =
   [
     test "pop empty" (fun () ->
@@ -223,6 +381,10 @@ let pqueue_tests =
         Pqueue.add q ~prio:1 1;
         Pqueue.clear q;
         Alcotest.(check bool) "empty" true (Pqueue.is_empty q));
+    qtest ~count:300 "matches the heap reference, heavy ties"
+      (arb_pqueue_ops narrow_prios) pqueue_matches_reference;
+    qtest ~count:300 "matches the heap reference, wide and negative priorities"
+      (arb_pqueue_ops wide_prios) pqueue_matches_reference;
   ]
 
 (* ---------- Vclock ---------- *)

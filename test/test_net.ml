@@ -118,6 +118,33 @@ let netsim_tests =
         Alcotest.(check int) "p1 output once then halted" 1 p1_outputs;
         Alcotest.(check bool) "p2 kept going" true (p2_outputs > 10);
         Alcotest.(check int) "halt recorded" 1 (List.length r.Netsim.halted));
+    test "a heartbeat all-to-all run with crashes is pinned" (fun () ->
+        (* n=50 under synchronous links: ~46k events over a handful of
+           timestamps at a time, so the order of equal-time events (the
+           event list's tie-break) reaches every count and every output.
+           Values recorded with the binary-heap event list; the bucketed
+           one must reproduce them exactly. *)
+        let n = 50 in
+        let r =
+          Netsim.run ~n
+            ~pattern:(pattern ~n [ (7, 90); (23, 150); (41, 210) ])
+            ~model:(Link.Synchronous { delta = 10 })
+            ~seed:2002 ~horizon:400
+            (Heartbeat.node (Heartbeat.Fixed { period = 20; timeout = 31 }))
+        in
+        let rendered =
+          String.concat ";"
+            (List.map
+               (fun (t, p, s) ->
+                 Format.asprintf "%d:%a:%a" t Pid.pp p Pid.Set.pp s)
+               r.Netsim.outputs)
+        in
+        Alcotest.(check int) "events" 46480 r.Netsim.events_processed;
+        Alcotest.(check int) "delivered" 47236 r.Netsim.messages_delivered;
+        Alcotest.(check int) "end time" 400 r.Netsim.end_time;
+        Alcotest.(check int) "outputs" 144 (List.length r.Netsim.outputs);
+        Alcotest.(check string) "outputs digest" "ebbfadf9ee13ebd047db959d3ac8d211"
+          (Digest.to_hex (Digest.string rendered)));
     test "until stops the simulation" (fun () ->
         let r =
           Netsim.run
